@@ -26,13 +26,13 @@ from __future__ import annotations
 
 import random
 import time
-from typing import Dict, List, Optional, Type
+from typing import Any, Dict, List, Tuple, Type
 
 from ..core.sct import check_sct
 from ..engine import ExecutionEngine
-from ..pitchfork import (analyze, analyze_symbolic_result,
+from ..pitchfork import (ExplorationOptions, analyze, analyze_symbolic_result,
                          enumerate_schedules)
-from .project import AnalysisOptions, Project
+from .project import EXPLORATION_KNOBS, AnalysisOptions, Project
 from .report import (PhaseReport, Report, from_analysis_report,
                      summarize_counterexample, summarize_finding)
 
@@ -90,11 +90,25 @@ def available_aliases() -> Dict[str, str]:
     return dict(sorted(_ALIASES.items()))
 
 
+#: The knobs an analysis may leave unused.  Each one set to a
+#: non-default value on an analysis that declares it in
+#: :attr:`Analysis.ignores` is surfaced as a ``<name>_ignored`` detail
+#: (``budget_ignored`` for ``budget_seconds``), never silently dropped.
+NOTICED_KNOBS = ("strategy", "shards", "prune", "subsume", "budget_seconds",
+                 "telemetry")
+
+_DEFAULTS = AnalysisOptions()
+
+
 class Analysis:
     """Base contract: ``run(project, **overrides) -> Report``."""
 
     name: str = ""
     description: str = ""
+    #: The :data:`NOTICED_KNOBS` this analysis does not act on: they are
+    #: held at their defaults in :meth:`exploration` and reported in
+    #: :meth:`ignored`.
+    ignores: Tuple[str, ...] = ()
 
     def run(self, project: Project, **overrides) -> Report:
         options = project.options.with_(**overrides)
@@ -102,10 +116,38 @@ class Analysis:
         report = self._run(project, options)
         if report.wall_time == 0.0:
             report = report.with_(wall_time=time.perf_counter() - t0)
+        notices = self.ignored(options)
+        if notices:
+            report = report.with_(details={**report.details, **notices})
         return report
 
     def _run(self, project: Project, options: AnalysisOptions) -> Report:
         raise NotImplementedError
+
+    def ignored(self, options: AnalysisOptions) -> Dict[str, Any]:
+        """The ``*_ignored`` notices for ``options``: every knob in
+        :attr:`ignores` that is set to a non-default value."""
+        return {("budget_ignored" if name == "budget_seconds"
+                 else f"{name}_ignored"): getattr(options, name)
+                for name in self.ignores
+                if getattr(options, name) != getattr(_DEFAULTS, name)}
+
+    def exploration(self, options: AnalysisOptions,
+                    **overrides) -> ExplorationOptions:
+        """The explorer options this analysis runs under:
+        ``options.exploration(**overrides)`` with every knob in
+        :attr:`ignores` held at its default."""
+        held = {name: getattr(_DEFAULTS, name) for name in self.ignores
+                if name in EXPLORATION_KNOBS}
+        return options.exploration(**{**held, **overrides})
+
+    def _explore(self, project: Project, options: AnalysisOptions,
+                 **overrides):
+        """One Pitchfork run of ``project`` under :meth:`exploration`."""
+        return analyze(project.program, project.config(), name=project.name,
+                       stop_at_first=options.stop_at_first,
+                       rsb_policy=options.rsb_policy, shards=options.shards,
+                       exploration=self.exploration(options, **overrides))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<{type(self).__name__}>"
@@ -134,29 +176,6 @@ class AnalysisHub:
         return f"<AnalysisHub {sorted(_REGISTRY)} on {self._project.name!r}>"
 
 
-def _explore(project: Project, options: AnalysisOptions, *,
-             bound: int, fwd_hazards: bool):
-    """One Pitchfork run with the project's full knob set."""
-    return analyze(project.program, project.config(), bound=bound,
-                   fwd_hazards=fwd_hazards, name=project.name,
-                   stop_at_first=options.stop_at_first,
-                   explore_aliasing=options.explore_aliasing,
-                   jmpi_targets=options.jmpi_targets,
-                   rsb_targets=options.rsb_targets,
-                   max_paths=options.max_paths,
-                   max_steps=options.max_steps,
-                   rsb_policy=options.rsb_policy,
-                   strategy=options.strategy,
-                   shards=options.shards,
-                   seed=options.seed,
-                   prune=options.prune,
-                   subsume=options.subsume,
-                   budget_seconds=options.budget_seconds,
-                   mcts_c=options.mcts_c,
-                   mcts_playout=options.mcts_playout,
-                   telemetry=options.telemetry)
-
-
 @register
 class PitchforkAnalysis(Analysis):
     """One worst-case-schedule exploration at ``options.bound``."""
@@ -167,8 +186,7 @@ class PitchforkAnalysis(Analysis):
 
     def _run(self, project: Project, options: AnalysisOptions) -> Report:
         t0 = time.perf_counter()
-        report = _explore(project, options, bound=options.bound,
-                          fwd_hazards=options.fwd_hazards)
+        report = self._explore(project, options)
         details = {"strategy": options.strategy, "shards": options.shards,
                    "prune": options.prune, "subsume": options.subsume}
         if options.strategy == "random":
@@ -198,6 +216,8 @@ class SpsAnalysis(Analysis):
     name = "sps"
     description = ("speculation-passing second opinion: sequential CT "
                    "check of the speculative product program (repro.sps)")
+    #: The sequential check has no schedule search for these to act on.
+    ignores = NOTICED_KNOBS
 
     def _run(self, project: Project, options: AnalysisOptions) -> Report:
         from ..pitchfork.detector import AnalysisReport
@@ -215,21 +235,6 @@ class SpsAnalysis(Analysis):
             stop_at_first=options.stop_at_first)
         details = {"speculation_sites": dict(result.sites),
                    "exhausted_paths": result.exhausted_paths}
-        # The sequential check has no schedule search, so the search
-        # knobs have nothing to act on.  Surfaced, never silently
-        # dropped (the ``*_ignored`` convention).
-        if options.strategy != "dfs":
-            details["strategy_ignored"] = options.strategy
-        if options.shards > 1:
-            details["shards_ignored"] = options.shards
-        if options.prune != "sleepset":
-            details["prune_ignored"] = options.prune
-        if options.subsume:
-            details["subsume_ignored"] = True
-        if options.budget_seconds is not None:
-            details["budget_ignored"] = options.budget_seconds
-        if options.telemetry:
-            details["telemetry_ignored"] = True
         report = AnalysisReport(
             name=project.name, secure=result.secure,
             violations=tuple(result.violations),
@@ -258,8 +263,8 @@ class TwoPhaseAnalysis(Analysis):
 
     def _run(self, project: Project, options: AnalysisOptions) -> Report:
         t0 = time.perf_counter()
-        first = _explore(project, options, bound=options.bound_no_fwd,
-                         fwd_hazards=False)
+        first = self._explore(project, options, bound=options.bound_no_fwd,
+                              fwd_hazards=False)
         t1 = time.perf_counter()
         phases = [PhaseReport(first.phase, first.bound, first.secure,
                               first.paths_explored, first.states_stepped,
@@ -269,8 +274,8 @@ class TwoPhaseAnalysis(Analysis):
                 first, project.name, self.name, wall_time=t1 - t0,
                 phases=tuple(phases),
                 details={"classification": "v1"}).with_(status="v1")
-        second = _explore(project, options, bound=options.bound_fwd,
-                          fwd_hazards=True)
+        second = self._explore(project, options, bound=options.bound_fwd,
+                               fwd_hazards=True)
         t2 = time.perf_counter()
         phases.append(PhaseReport(second.phase, second.bound, second.secure,
                                   second.paths_explored,
@@ -299,38 +304,23 @@ class SymbolicAnalysis(Analysis):
     description = ("symbolic replay of the tool-schedule tree (§4.2): "
                    "solve for attacker inputs reaching secret "
                    "observations; prefix-shared via repro.engine")
+    #: Only the explorer is sharded; concrete-state subsumption is
+    #: unsound here (equal concrete states may hide different symbolic
+    #: worlds); a partial symbolic sweep has no honest anytime coverage;
+    #: and telemetry instruments a frontier loop the replay does not
+    #: drive.
+    ignores = ("shards", "subsume", "budget_seconds", "telemetry")
 
     def _run(self, project: Project, options: AnalysisOptions) -> Report:
         t0 = time.perf_counter()
         result = analyze_symbolic_result(
-            project.program, project.config(), bound=options.bound,
-            fwd_hazards=options.fwd_hazards,
-            max_schedules=options.max_schedules,
-            max_worlds=options.max_worlds,
-            strategy=options.strategy, seed=options.seed,
-            prune=options.prune)
+            project.program, project.config(),
+            exploration=self.exploration(options,
+                                         max_paths=options.max_schedules),
+            max_worlds=options.max_worlds)
         details = {"worlds": result.replay.worlds,
                    "solver_calls": result.replay.solver_calls,
                    "prune": options.prune}
-        if options.shards > 1:
-            # The symbolic replay is not sharded (only the explorer
-            # is); surface the ignored knob instead of dropping it.
-            details["shards_ignored"] = options.shards
-        if options.subsume:
-            # Concrete-state subsumption is unsound for symbolic
-            # replay: two equal concrete configurations may differ in
-            # the symbolic worlds reaching them, so pruning one would
-            # drop satisfiable attacker models.  Ignored, and said so.
-            details["subsume_ignored"] = True
-        if options.budget_seconds is not None:
-            # The symbolic replay has no anytime mode: a partial
-            # symbolic sweep cannot report honest coverage the way the
-            # frontier can.  Surfaced, not silently dropped.
-            details["budget_ignored"] = options.budget_seconds
-        if options.telemetry:
-            # Search telemetry instruments the frontier pop loop, which
-            # the symbolic replay does not drive.  Surfaced, not dropped.
-            details["telemetry_ignored"] = True
         return Report(
             target=project.name, analysis=self.name,
             status="secure" if result.secure else "insecure",
@@ -358,16 +348,20 @@ class SCTAnalysis(Analysis):
     name = "sct"
     description = ("two-trace Definition 3.1 check over enumerated tool "
                    "schedules and secret variations; flags vacuous passes")
+    #: The check quantifies over the whole materialised schedule set:
+    #: search order, sharding, subsumption (which shrinks the set),
+    #: budgets and search telemetry do not apply.
+    ignores = ("strategy", "shards", "subsume", "budget_seconds",
+               "telemetry")
 
     def _run(self, project: Project, options: AnalysisOptions) -> Report:
         t0 = time.perf_counter()
         machine = project.machine()
         config = project.config()
         schedules = enumerate_schedules(
-            machine, config, bound=options.sct_bound,
-            fwd_hazards=options.fwd_hazards,
-            max_paths=options.sct_max_schedules,
-            prune=options.prune)
+            machine, config, exploration=self.exploration(
+                options, bound=options.sct_bound,
+                max_paths=options.sct_max_schedules))
         # Run the two-trace product on the engine so the quantifier's
         # work (every schedule × every partner, twice per pair) shows
         # up in the report's step counters.
@@ -388,9 +382,7 @@ class SCTAnalysis(Analysis):
             vacuous=result.vacuous,
             wall_time=time.perf_counter() - t0,
             details={"pairs_checked": result.pairs_checked,
-                     "schedules": len(schedules),
-                     **({"telemetry_ignored": True}
-                        if options.telemetry else {})},
+                     "schedules": len(schedules)},
         )
 
 
@@ -412,8 +404,7 @@ class CacheAttackAnalysis(Analysis):
         from ..cache import Cache, CacheConfig, replay
         from ..cache.cache import addresses_touching_cache
         t0 = time.perf_counter()
-        report = _explore(project, options, bound=options.bound,
-                          fwd_hazards=options.fwd_hazards)
+        report = self._explore(project, options)
         base = from_analysis_report(report, project.name, self.name,
                                     wall_time=time.perf_counter() - t0)
         if report.secure:
@@ -456,6 +447,10 @@ class RepairAnalysis(Analysis):
     description = ("counterexample-guided mitigation synthesis: localize "
                    "violations, place minimal fences/SLH masks, re-verify, "
                    "shrink (repro.mitigate)")
+    #: Repair re-verifies to a *certificate*: a wall-clock cut mid-loop
+    #: would certify nothing, and one heatmap over many
+    #: re-verifications would mislead.
+    ignores = ("budget_seconds", "telemetry")
 
     def _run(self, project: Project, options: AnalysisOptions) -> Report:
         from ..mitigate import repair
@@ -464,14 +459,7 @@ class RepairAnalysis(Analysis):
             project.program, project.config(), name=project.name,
             policy=options.policy, max_rounds=options.max_repair_rounds,
             shrink=options.shrink, rsb_policy=options.rsb_policy,
-            bound=options.bound, fwd_hazards=options.fwd_hazards,
-            explore_aliasing=options.explore_aliasing,
-            jmpi_targets=options.jmpi_targets,
-            rsb_targets=options.rsb_targets,
-            max_paths=options.max_paths, max_steps=options.max_steps,
-            strategy=options.strategy, shards=options.shards,
-            seed=options.seed, prune=options.prune,
-            subsume=options.subsume)
+            shards=options.shards, exploration=self.exploration(options))
         final = result.final_report
         secure = result.status in ("already-secure", "repaired")
         details = {"policy": options.policy,
@@ -481,14 +469,6 @@ class RepairAnalysis(Analysis):
                    "shards": options.shards,
                    "prune": options.prune,
                    "subsume": options.subsume}
-        if options.budget_seconds is not None:
-            # Repair re-verifies to a *certificate*; a wall-clock cut
-            # mid-loop would certify nothing.  Surfaced, not dropped.
-            details["budget_ignored"] = options.budget_seconds
-        if options.telemetry:
-            # The repair loop runs many re-verifications; a single
-            # heatmap over all of them would be misleading.  Surfaced.
-            details["telemetry_ignored"] = True
         wall = time.perf_counter() - t0
         # NB: AnalysisReport.__bool__ is "secure" — guard on None, not
         # truthiness, or insecure final reports zero these fields out.
@@ -521,6 +501,8 @@ class MetatheoryAnalysis(Analysis):
     name = "metatheory"
     description = ("replay the Appendix B theorem checks on this target "
                    "under random well-formed schedules")
+    #: Random well-formed schedules, not a search: no knob applies.
+    ignores = NOTICED_KNOBS
 
     def _run(self, project: Project, options: AnalysisOptions) -> Report:
         from ..verify.generators import random_schedule

@@ -35,6 +35,7 @@ import os
 import sys
 import time
 from contextlib import contextmanager
+from dataclasses import fields
 from typing import Any, Dict, List, Optional
 
 from .analyses import available_aliases, available_analyses
@@ -43,33 +44,10 @@ from .project import AnalysisOptions, Project
 
 
 def _option_overrides(args) -> Dict:
-    """Collect --bound-style flags into AnalysisOptions overrides
-    (absent flags stay None and are ignored by ``with_``)."""
-    return {
-        "bound": args.bound,
-        "bound_no_fwd": args.bound_no_fwd,
-        "bound_fwd": args.bound_fwd,
-        "fwd_hazards": args.fwd_hazards,
-        "explore_aliasing": args.aliasing,
-        "max_paths": args.max_paths,
-        "max_steps": args.max_steps,
-        "max_schedules": args.max_schedules,
-        "max_worlds": args.max_worlds,
-        "strategy": args.strategy,
-        "shards": args.shards,
-        "seed": args.seed,
-        "prune": args.prune,
-        "subsume": getattr(args, "subsume", None),
-        "telemetry": getattr(args, "telemetry", None),
-        "budget_seconds": getattr(args, "budget_seconds", None),
-        "mcts_c": getattr(args, "mcts_c", None),
-        "mcts_playout": getattr(args, "mcts_playout", None),
-        # repair-only knobs (absent on other subcommands, ignored when
-        # None by AnalysisOptions.with_).
-        "policy": getattr(args, "policy", None),
-        "max_repair_rounds": getattr(args, "max_rounds", None),
-        "shrink": getattr(args, "shrink", None),
-    }
+    """Collect the flags named after AnalysisOptions fields into
+    overrides (absent flags stay None and are ignored by ``with_``)."""
+    return {f.name: getattr(args, f.name, None)
+            for f in fields(AnalysisOptions)}
 
 
 def _warn_truncated(reports) -> None:
@@ -112,6 +90,7 @@ def _add_option_flags(parser: argparse.ArgumentParser) -> None:
                         action="store_false",
                         help="disable forwarding-hazard exploration")
     parser.add_argument("--aliasing", action="store_true", default=None,
+                        dest="explore_aliasing",
                         help="enable §3.5 aliasing-prediction exploration")
     parser.add_argument("--max-paths", type=int, help="path-count cap")
     parser.add_argument("--max-steps", type=int,
@@ -167,15 +146,6 @@ def _add_option_flags(parser: argparse.ArgumentParser) -> None:
                              "(default: 8)")
 
 
-def _preset_options(args) -> Optional[AnalysisOptions]:
-    preset = getattr(args, "preset", None)
-    if preset == "paper":
-        return AnalysisOptions.paper()
-    if preset == "table2":
-        return AnalysisOptions.table2()
-    return None
-
-
 def _parse_regs(pairs: List[str]) -> Dict[str, int]:
     regs = {}
     for pair in pairs:
@@ -187,39 +157,18 @@ def _parse_regs(pairs: List[str]) -> Dict[str, int]:
 
 
 def _resolve_target(target: str, args) -> Project:
-    """A litmus-case name, a case-variant name, or an asm file path."""
-    options = _preset_options(args)
-    if os.path.exists(target) or target.endswith(".s"):
-        try:
-            with open(target) as fh:
-                source = fh.read()
-        except OSError as exc:
-            raise SystemExit(f"cannot read {target!r}: {exc}")
-        return Project.from_asm(source, regs=_parse_regs(args.reg or []),
-                                pc=args.pc,
-                                name=os.path.basename(target),
-                                options=options)
-    from ..casestudies import all_case_studies
-    for study in all_case_studies():
-        for variant in study.variants():
-            if variant.name == target:
-                return Project.from_variant(variant, options=options)
-    from ..litmus import find_case
-    try:
-        return Project.from_litmus(target, options=options)
-    except KeyError:
-        raise SystemExit(
-            f"unknown target {target!r}: not a file, case-study variant, "
-            f"or litmus case (try `python -m repro list`)")
+    """A litmus-case name, a case-variant name, or an asm file path,
+    resolved exactly as the daemon resolves a submitted target."""
+    from ..serve import resolve_project
+    return resolve_project(_target_spec(target, args))
 
 
 def _target_spec(target: str, args) -> Dict:
     """The serve-layer job spec for a CLI positional target.
 
     File paths are read *client-side* and shipped by value (the daemon
-    never touches this process's filesystem); names travel as-is and
-    resolve on the daemon exactly as ``_resolve_target`` resolves them
-    here.
+    never touches this process's filesystem); names travel as-is.
+    ``_resolve_target`` resolves the same spec in-process.
     """
     from ..serve import spec_for_asm, spec_for_name
     preset = getattr(args, "preset", None)
@@ -319,12 +268,11 @@ def cmd_analyze(args) -> int:
         header["telemetry"] = (dict(report.telemetry)
                                if report.telemetry is not None else None)
         if getattr(args, "cross_check", False):
-            # Run *both* backends on the full question (never
+            # Run *both* backends on the main run's question (never
             # first-violation mode: agreement is on the complete
             # flagged-observation sets) and attach the verdict.
             from ..sps.diff import compare
-            options = project.options.with_(
-                **{k: v for k, v in overrides.items() if v is not None})
+            options = project.options.with_(**overrides)
             record = compare(project.program, project.config(),
                              options.with_(stop_at_first=False),
                              name=project.name)
@@ -445,7 +393,8 @@ def cmd_table2(args) -> int:
     from ..casestudies import all_case_studies, render_table2
     manager = AnalysisManager("two-phase", workers=args.workers)
     studies = all_case_studies()
-    options = _preset_options(args)
+    from ..serve.jobs import preset_options
+    options = preset_options(args.preset)
     t0 = time.time()
     # One batch for the whole table so --workers parallelises across
     # all eight cells, not within one row.
@@ -761,6 +710,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="per-site mitigation policy (default: auto — "
                                "SLH masking for v1 loads, fences otherwise)")
     p_repair.add_argument("--max-rounds", type=int,
+                          dest="max_repair_rounds",
                           help="propose→re-verify rounds before giving up")
     p_repair.add_argument("--no-shrink", dest="shrink",
                           action="store_false", default=None,

@@ -16,21 +16,16 @@ with all knobs normalised into one validated :class:`AnalysisOptions`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from typing import Any, Callable, Dict, Optional, Tuple
 
 from ..asm import assemble
 from ..core.config import Config
-from ..core.machine import Machine
+from ..core.machine import RSB_POLICIES, Machine
 from ..core.memory import Memory
 from ..core.program import Program
-from ..engine import available_strategies
-from ..engine.mcts import (DEFAULT_EXPLORATION, DEFAULT_PLAYOUT_DEPTH,
-                           validate_mcts)
-from ..engine.por import PRUNE_LEVELS
-from ..engine.subsume import validate_subsume
-from ..obs import validate_telemetry
-from ..pitchfork.explorer import validate_budget
+from ..pitchfork.detector import PAPER_BOUND_FWD, PAPER_BOUND_NO_FWD
+from ..pitchfork.explorer import ExplorationOptions
 
 #: Default Table 2 bounds (see ``repro.casestudies.common``): the ported
 #: kernels are smaller than compiled x86, so phase 1 runs at 28 instead
@@ -38,17 +33,17 @@ from ..pitchfork.explorer import validate_budget
 TABLE2_BOUND_NO_FWD = 28
 TABLE2_BOUND_FWD = 20
 
-#: The bounds of the paper's evaluation (§4.2.1).
-PAPER_BOUND_NO_FWD = 250
-PAPER_BOUND_FWD = 20
-
-_RSB_POLICIES = ("directive", "refuse", "circular")
+#: The exploration knobs' defaults, declared by ExplorationOptions.
+_EXPLORE = ExplorationOptions()
 
 
 @dataclass(frozen=True)
 class AnalysisOptions:
     """Every analysis knob, normalised and validated in one place.
 
+    The exploration knobs share their names, defaults and validation
+    with :class:`~repro.pitchfork.explorer.ExplorationOptions`, which
+    declares them; :meth:`exploration` is the one mapping onto it.
     Single-phase detectors read ``bound``/``fwd_hazards``; the two-phase
     procedure (§4.2.1) reads ``bound_no_fwd``/``bound_fwd``; the SCT and
     metatheory analyses read their own small sections.  Constructors:
@@ -58,50 +53,26 @@ class AnalysisOptions:
     * :meth:`for_case` — mirror a litmus case's ground-truth knobs.
     """
 
-    # -- single-phase exploration -------------------------------------------
-    bound: int = 20                 #: speculation bound (max ROB size)
-    fwd_hazards: bool = True        #: explore deferred store addresses (v4)
-    explore_aliasing: bool = False  #: §3.5 aliasing-prediction extension
-    jmpi_targets: Tuple[int, ...] = ()   #: Spectre v2 exploration targets
-    rsb_targets: Tuple[int, ...] = ()    #: ret2spec exploration targets
+    # -- single-phase exploration (see ExplorationOptions) ------------------
+    bound: int = _EXPLORE.bound
+    fwd_hazards: bool = _EXPLORE.fwd_hazards
+    explore_aliasing: bool = _EXPLORE.explore_aliasing
+    jmpi_targets: Tuple[int, ...] = _EXPLORE.jmpi_targets
+    rsb_targets: Tuple[int, ...] = _EXPLORE.rsb_targets
+    #: Machine behaviour of ``ret`` on an empty RSB (``RSB_POLICIES``).
     rsb_policy: str = "directive"
-    max_paths: int = 20_000
-    max_steps: int = 40_000         #: per-path step budget
+    max_paths: int = _EXPLORE.max_paths
+    max_steps: int = _EXPLORE.max_steps
     stop_at_first: bool = True
-    #: Frontier search order: "dfs" (seed order), "bfs", "random",
-    #: "coverage" — set-invariant by Theorem B.20.
-    strategy: str = "dfs"
+    strategy: str = _EXPLORE.strategy
     #: DT(bound) subtree shards run on a process pool (1 = in-process).
     shards: int = 1
-    #: Partial-order reduction over the schedule tree: "none" (raw
-    #: Definition B.18), "sleepset" (the default reduction), or "full"
-    #: (window capping + degenerate-arm collapse) — all flag the same
-    #: violation observations.  See :mod:`repro.engine.por`.
-    prune: str = "sleepset"
-    #: Redundant-state subsumption (:mod:`repro.engine.subsume`): prune
-    #: fork arms whose state was already explored with the same or
-    #: weaker residual obligations.  Same observation set, far fewer
-    #: steps on re-convergent programs; off by default (concrete-state
-    #: identity is meaningless to the symbolic back end, which ignores
-    #: it — see :class:`~repro.api.analyses.SymbolicAnalysis`).
-    subsume: bool = False
-    #: Anytime mode: wall-clock budget in seconds (None = no deadline).
-    #: A budgeted run stops at the deadline, is reported truncated
-    #: (``--check`` exit 2, never clean) and carries honest coverage in
-    #: ``report.anytime``.  The symbolic back end ignores (and reports
-    #: ignoring) the budget.
-    budget_seconds: Optional[float] = None
-    #: UCT exploration constant for ``strategy="mcts"``
-    #: (:mod:`repro.engine.mcts`); ignored by other strategies.
-    mcts_c: float = DEFAULT_EXPLORATION
-    #: Static-playout lookahead depth for ``strategy="mcts"``.
-    mcts_playout: int = DEFAULT_PLAYOUT_DEPTH
-    #: Record search telemetry (per-fetch-PC heatmap, fork-level
-    #: schedule histogram — see :mod:`repro.obs.telemetry`) onto the
-    #: report's ``telemetry`` section.  Pure observation: the explored
-    #: schedule set and every violation are unchanged.  Off by default
-    #: so defaulted options keep their pre-existing store keys.
-    telemetry: bool = False
+    prune: str = _EXPLORE.prune
+    subsume: bool = _EXPLORE.subsume
+    budget_seconds: Optional[float] = _EXPLORE.budget_seconds
+    mcts_c: float = _EXPLORE.mcts_c
+    mcts_playout: int = _EXPLORE.mcts_playout
+    telemetry: bool = _EXPLORE.telemetry
 
     # -- the symbolic back end ----------------------------------------------
     max_schedules: int = 512        #: tool schedules replayed symbolically
@@ -127,41 +98,36 @@ class AnalysisOptions:
     # -- shared randomness ----------------------------------------------------
     #: RNG seed: drives the "random" search strategy and the metatheory
     #: schedule generator; recorded in reports for reproducibility.
-    seed: int = 0
+    seed: int = _EXPLORE.seed
 
     # -- metatheory ----------------------------------------------------------
     experiments: int = 8            #: random schedules per metatheory run
 
     def __post_init__(self):
-        for name in ("bound", "bound_no_fwd", "bound_fwd", "sct_bound"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        for name in ("max_paths", "max_steps", "max_schedules", "max_worlds",
-                     "sct_max_schedules", "experiments", "shards",
-                     "max_repair_rounds"):
+        for name in ("bound_no_fwd", "bound_fwd", "sct_bound",
+                     "max_schedules", "max_worlds", "sct_max_schedules",
+                     "experiments", "shards", "max_repair_rounds"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if self.policy not in ("fence", "slh", "auto"):
             raise ValueError(f"policy must be one of "
                              f"('fence', 'slh', 'auto'), got {self.policy!r}")
-        if self.rsb_policy not in _RSB_POLICIES:
-            raise ValueError(f"rsb_policy must be one of {_RSB_POLICIES}, "
+        if self.rsb_policy not in RSB_POLICIES:
+            raise ValueError(f"rsb_policy must be one of {RSB_POLICIES}, "
                              f"got {self.rsb_policy!r}")
-        if self.strategy not in available_strategies():
-            raise ValueError(
-                f"strategy must be one of {list(available_strategies())}, "
-                f"got {self.strategy!r}")
-        if self.prune not in PRUNE_LEVELS:
-            raise ValueError(
-                f"prune must be one of {list(PRUNE_LEVELS)}, "
-                f"got {self.prune!r}")
-        validate_subsume(self.subsume)
-        validate_budget(self.budget_seconds)
-        validate_mcts(self.mcts_c, self.mcts_playout)
-        validate_telemetry(self.telemetry)
+        # Validates every shared knob (ExplorationOptions owns the rules).
+        self.exploration()
         # Normalise sequences so options stay hashable (cache keys).
         object.__setattr__(self, "jmpi_targets", tuple(self.jmpi_targets))
         object.__setattr__(self, "rsb_targets", tuple(self.rsb_targets))
+
+    def exploration(self, **overrides) -> ExplorationOptions:
+        """The explorer options these analysis options describe: every
+        field the two classes share, with ``overrides`` applied (e.g.
+        the two-phase procedure's per-phase ``bound``)."""
+        shared = {name: getattr(self, name) for name in EXPLORATION_KNOBS}
+        shared.update(overrides)
+        return ExplorationOptions(**shared)
 
     # -- presets -------------------------------------------------------------
 
@@ -202,6 +168,12 @@ class AnalysisOptions:
         if unknown:
             raise TypeError(f"unknown analysis options: {sorted(unknown)}")
         return replace(self, **kw) if kw else self
+
+
+#: The exploration knobs: the fields AnalysisOptions shares with
+#: ExplorationOptions, in ExplorationOptions' order.
+EXPLORATION_KNOBS = tuple(f.name for f in fields(ExplorationOptions)
+                          if f.name in AnalysisOptions.__dataclass_fields__)
 
 
 class Project:

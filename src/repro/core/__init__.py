@@ -24,7 +24,7 @@ from .isa import (Br, Call, ConcreteEvaluator, Evaluator, Fence, Instruction,
                   x86_addr)
 from .lattice import (Label, Lattice, PUBLIC, SECRET, TWO_POINT, get_lattice,
                       join_all)
-from .machine import Machine, RSP, RTMP
+from .machine import Machine, RSB_POLICIES, RSP, RTMP
 from .memory import Memory, Region, layout
 from .observations import (Fwd, Jump, Observation, Read, Rollback, Trace,
                            Write, addresses, is_secret_dependent,

@@ -60,6 +60,9 @@ RSP = Reg("rsp")
 #: Scratch register used by the ret sequence (Appendix A.2).
 RTMP = Reg("rtmp")
 
+#: Behaviours of a ``ret`` fetched with an empty RSB (Appendix A.2).
+RSB_POLICIES = ("directive", "refuse", "circular")
+
 
 class Machine:
     """The speculative machine for a fixed program.
@@ -80,7 +83,7 @@ class Machine:
     def __init__(self, program: Program,
                  evaluator: Optional[Evaluator] = None,
                  rsb_policy: str = "directive"):
-        if rsb_policy not in ("directive", "refuse", "circular"):
+        if rsb_policy not in RSB_POLICIES:
             raise ValueError(f"unknown rsb_policy {rsb_policy!r}")
         self.program = program
         self.evaluator = evaluator or ConcreteEvaluator()

@@ -414,10 +414,9 @@ def repair(program: Program, config: Config, *,
     """Synthesize a minimal mitigation for ``program``.
 
     ``analyze_kwargs`` are forwarded to :func:`repro.pitchfork.analyze`
-    for every verification run (``bound``, ``fwd_hazards``,
-    ``explore_aliasing``, ``jmpi_targets``, ``rsb_targets``,
-    ``max_paths``, ``max_steps``, ``strategy``, ``shards``, ``seed``,
-    ``prune``, ``subsume``).
+    for every verification run: ``exploration`` (an
+    :class:`~repro.pitchfork.ExplorationOptions`), ``shards``, or any
+    exploration knob as a keyword.
     """
     synthesizer = MitigationSynthesizer(
         program, config, name=name,

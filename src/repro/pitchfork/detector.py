@@ -12,17 +12,16 @@ paper's evaluation procedure exactly (§4.2.1):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import Callable, Mapping, Optional, Tuple
 
 from ..core.config import Config
 from ..core.isa import Evaluator
 from ..core.machine import Machine
 from ..core.program import Program
 from ..engine import PruningStats, SubsumptionStats
-from ..engine.mcts import DEFAULT_EXPLORATION, DEFAULT_PLAYOUT_DEPTH
-from .explorer import (AnytimeStats, ExplorationOptions, ExplorationResult,
-                       Explorer, ShardStats, Violation)
+from .explorer import (AnytimeStats, ExplorationOptions, Explorer,
+                       ShardStats, Violation)
 
 #: The speculation bounds used in the paper's evaluation.
 PAPER_BOUND_NO_FWD = 250
@@ -76,71 +75,38 @@ class AnalysisReport:
         return self.secure
 
 
-def analyze(program: Program, config: Config,
-            bound: int = PAPER_BOUND_FWD,
-            fwd_hazards: bool = True,
+def analyze(program: Program, config: Config, *,
             name: str = "<program>",
             stop_at_first: bool = True,
             evaluator: Optional[Evaluator] = None,
-            explore_aliasing: bool = False,
-            jmpi_targets: Sequence[int] = (),
-            rsb_targets: Sequence[int] = (),
-            max_paths: int = 20_000,
-            max_steps: int = 40_000,
             rsb_policy: str = "directive",
-            strategy: str = "dfs",
             shards: int = 1,
-            seed: int = 0,
-            prune: str = "sleepset",
-            subsume: bool = False,
-            budget_seconds: Optional[float] = None,
-            mcts_c: float = DEFAULT_EXPLORATION,
-            mcts_playout: int = DEFAULT_PLAYOUT_DEPTH,
-            telemetry: bool = False,
-            clock: Optional[Callable[[], float]] = None) -> AnalysisReport:
+            clock: Optional[Callable[[], float]] = None,
+            exploration: Optional[ExplorationOptions] = None,
+            **knobs) -> AnalysisReport:
     """One Pitchfork run: explore DT(bound), flag secret observations.
 
-    ``strategy`` selects the frontier's search order (see
-    :mod:`repro.engine.frontier`); ``shards > 1`` partitions DT(bound)
-    into subtree jobs executed on a process pool (see
-    :mod:`repro.pitchfork.sharding`) — both leave the flagged violation
-    set unchanged (Theorem B.20 quantifies over the schedule set, which
-    neither reordering nor partitioning alters).  Sharding needs to
-    rebuild the machine in worker processes, so a custom ``evaluator``
-    forces the single-process path.  ``prune`` selects the
-    partial-order-reduction level (:mod:`repro.engine.por`):
-    ``none``/``sleepset``/``full``, all flagging the same violation
-    observations.  ``subsume`` prunes fork arms whose state was already
-    explored with the same or weaker residual obligations
-    (:mod:`repro.engine.subsume`) — same observation set, far fewer
-    machine steps on re-convergent (loop-heavy) programs; under
-    sharding each shard keeps its own table and the counters merge.
-    ``budget_seconds`` runs in anytime mode: exploration stops at the
-    wall-clock deadline, the report is marked truncated (never clean),
-    and ``report.anytime`` carries honest coverage stats.  ``mcts_c``
-    and ``mcts_playout`` tune ``strategy="mcts"``
-    (:mod:`repro.engine.mcts`).  ``telemetry`` records the search's
-    per-fetch-PC heatmap and fork-level schedule histogram onto the
-    report (:mod:`repro.obs.telemetry`) — pure observation, the
-    explored schedule set is unchanged.  ``clock`` injects a monotonic
-    clock for deterministic anytime tests (parent process only; shard
-    workers keep the real clock).
+    The search knobs are :class:`ExplorationOptions` fields, given as
+    ``exploration`` and/or as keywords (``bound=12, prune="full"``)
+    applied on top of it; an unknown keyword raises ``TypeError``.
+    Neither ``strategy`` (the frontier's search order) nor ``shards >
+    1`` (DT(bound) partitioned into subtree jobs on a process pool, see
+    :mod:`repro.pitchfork.sharding`) nor any ``prune`` level changes
+    the flagged violation set: Theorem B.20 quantifies over the
+    schedule set, which reordering, partitioning and partial-order
+    reduction leave intact.  ``subsume`` keeps the observation set too;
+    under sharding each shard keeps its own table and the counters
+    merge.  A ``budget_seconds`` run stops at the wall-clock deadline
+    and is reported truncated (never clean), with honest coverage in
+    ``report.anytime``; ``telemetry`` attaches the search heatmap and
+    fork-level histogram.  Sharding rebuilds the machine in worker
+    processes, so a custom ``evaluator`` forces the single-process
+    path.  ``clock`` injects a monotonic clock for deterministic
+    anytime tests (parent process only; shard workers keep the real
+    clock).
     """
+    options = replace(exploration or ExplorationOptions(), **knobs)
     machine = Machine(program, evaluator=evaluator, rsb_policy=rsb_policy)
-    options = ExplorationOptions(bound=bound, fwd_hazards=fwd_hazards,
-                                 explore_aliasing=explore_aliasing,
-                                 jmpi_targets=tuple(jmpi_targets),
-                                 rsb_targets=tuple(rsb_targets),
-                                 max_paths=max_paths,
-                                 max_steps=max_steps,
-                                 strategy=strategy,
-                                 seed=seed,
-                                 prune=prune,
-                                 subsume=subsume,
-                                 budget_seconds=budget_seconds,
-                                 mcts_c=mcts_c,
-                                 mcts_playout=mcts_playout,
-                                 telemetry=telemetry)
     if shards > 1 and evaluator is None:
         from .sharding import ShardedExplorer
         result = ShardedExplorer(machine, options, shards=shards,
@@ -149,7 +115,7 @@ def analyze(program: Program, config: Config,
     else:
         result = Explorer(machine, options, clock=clock).explore(
             config, stop_at_first=stop_at_first)
-    phase = "v4" if fwd_hazards else "v1/v1.1"
+    phase = "v4" if options.fwd_hazards else "v1/v1.1"
     truncated = result.truncated or result.exhausted_paths > 0
     engine = result.engine
     first_violation = None
@@ -159,7 +125,7 @@ def analyze(program: Program, config: Config,
                            "wall_time": engine.first_violation_wall}
     return AnalysisReport(name, result.secure, tuple(result.violations),
                           result.paths_explored, result.applied_steps,
-                          truncated, phase, bound,
+                          truncated, phase, options.bound,
                           states_reused=result.states_reused,
                           shards=result.shards,
                           pruning=result.pruning,

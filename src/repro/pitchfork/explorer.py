@@ -93,7 +93,7 @@ from ..core.transient import (TBr, TCallMarker, TFence, TJmpi, TJump, TLoad,
 from ..core.values import BOTTOM, Value
 from ..engine import (EngineStats, ExecutionEngine, MachineState,
                       PruningStats, SeenStates, SubsumptionStats,
-                      make_frontier)
+                      available_strategies, make_frontier)
 from ..engine.mcts import (DEFAULT_EXPLORATION, DEFAULT_PLAYOUT_DEPTH,
                            validate_mcts)
 from ..engine.por import drop_dead_entries, hazard_load, validate_prune
@@ -114,7 +114,15 @@ def validate_budget(budget_seconds: Optional[float]) -> None:
 
 @dataclass(frozen=True)
 class ExplorationOptions:
-    """Tuning knobs mirroring the paper's evaluation procedure (§4.2.1)."""
+    """Tuning knobs mirroring the paper's evaluation procedure (§4.2.1).
+
+    The single declaration of the exploration knobs: their defaults and
+    all of their validation live here.  Callers take the knobs from an
+    instance (``analyze(..., exploration=options)``) or as keywords
+    applied to the defaults (``analyze(..., bound=12, prune="full")``);
+    :meth:`repro.api.AnalysisOptions.exploration` is the one mapping
+    from the API's options onto these.
+    """
 
     bound: int = 20            #: speculation bound = max reorder-buffer size
     fwd_hazards: bool = True   #: explore deferred store addresses (v4 mode)
@@ -177,11 +185,21 @@ class ExplorationOptions:
     telemetry: bool = False
 
     def __post_init__(self):
+        for name in ("bound", "max_paths", "max_steps"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive")
+        if self.strategy not in available_strategies():
+            raise ValueError(
+                f"strategy must be one of {list(available_strategies())}, "
+                f"got {self.strategy!r}")
         validate_prune(self.prune)
         validate_subsume(self.subsume)
         validate_budget(self.budget_seconds)
         validate_mcts(self.mcts_c, self.mcts_playout)
         validate_telemetry(self.telemetry)
+        # Normalise sequences so options stay hashable.
+        object.__setattr__(self, "jmpi_targets", tuple(self.jmpi_targets))
+        object.__setattr__(self, "rsb_targets", tuple(self.rsb_targets))
 
 
 @dataclass(frozen=True)

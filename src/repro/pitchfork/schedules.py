@@ -18,14 +18,13 @@ deepest shared prefix instead of re-running every schedule from step 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, List, Tuple
+from dataclasses import dataclass, replace
+from typing import Iterator, List, Optional, Tuple
 
 from ..core.config import Config
 from ..core.directives import Schedule
 from ..core.machine import Machine
 from ..engine import ScheduleTree
-from ..engine.mcts import DEFAULT_EXPLORATION, DEFAULT_PLAYOUT_DEPTH
 from .explorer import ExplorationOptions, Explorer
 
 
@@ -40,17 +39,24 @@ class ScheduleStats:
     truncated: bool
 
 
-def enumerate_schedules(machine: Machine, config: Config,
-                        bound: int, fwd_hazards: bool = True,
-                        max_paths: int = 20_000,
-                        assume_unknown_branches: bool = False,
-                        strategy: str = "dfs", seed: int = 0,
-                        prune: str = "sleepset",
-                        subsume: bool = False,
-                        mcts_c: float = DEFAULT_EXPLORATION,
-                        mcts_playout: int = DEFAULT_PLAYOUT_DEPTH) -> List[Schedule]:
+def _enumeration(machine: Machine, config: Config,
+                 exploration: Optional[ExplorationOptions], knobs):
+    """Explore DT(bound) for the enumerators below."""
+    options = replace(exploration or ExplorationOptions(), **knobs)
+    if options.budget_seconds is not None:
+        raise ValueError("schedule enumeration takes no budget_seconds: "
+                         "a schedule set cut at a wall-clock deadline is "
+                         "not DT(bound)")
+    return Explorer(machine, options).explore(config)
+
+
+def enumerate_schedules(machine: Machine, config: Config, *,
+                        exploration: Optional[ExplorationOptions] = None,
+                        **knobs) -> List[Schedule]:
     """All complete tool schedules for ``config`` at this bound.
 
+    The knobs are :class:`~repro.pitchfork.explorer.ExplorationOptions`
+    fields, as ``exploration`` and/or keywords applied on top of it.
     ``strategy``/``seed`` select the frontier's enumeration order (the
     schedule *set* is order-invariant); ``prune`` the partial-order-
     reduction level (one representative per Mazurkiewicz class at
@@ -59,32 +65,18 @@ def enumerate_schedules(machine: Machine, config: Config,
     (:mod:`repro.engine.subsume`) — the *materialised* set shrinks, so
     leave it off when the schedules themselves are the product (e.g.
     feeding symbolic replay, where concrete-state identity is not
-    state identity).  ``mcts_c``/``mcts_playout`` tune
-    ``strategy="mcts"`` and are ignored otherwise.  Anytime budgets are
-    deliberately not offered here: a materialised schedule set cut at a
-    wall-clock deadline is not DT(bound)."""
-    options = ExplorationOptions(bound=bound, fwd_hazards=fwd_hazards,
-                                 max_paths=max_paths,
-                                 assume_unknown_branches=assume_unknown_branches,
-                                 strategy=strategy, seed=seed, prune=prune,
-                                 subsume=subsume,
-                                 mcts_c=mcts_c, mcts_playout=mcts_playout)
-    result = Explorer(machine, options).explore(config)
+    state identity).  Anytime budgets are refused (``ValueError``)."""
+    result = _enumeration(machine, config, exploration, knobs)
     return [p.schedule for p in result.paths if p.complete]
 
 
-def enumerate_schedule_tree(machine: Machine, config: Config,
-                            bound: int, fwd_hazards: bool = True,
-                            max_paths: int = 20_000,
-                            assume_unknown_branches: bool = False,
-                            strategy: str = "dfs", seed: int = 0,
-                            prune: str = "sleepset",
-                            subsume: bool = False,
-                            mcts_c: float = DEFAULT_EXPLORATION,
-                            mcts_playout: int = DEFAULT_PLAYOUT_DEPTH) -> ScheduleTree:
+def enumerate_schedule_tree(machine: Machine, config: Config, *,
+                            exploration: Optional[ExplorationOptions] = None,
+                            **knobs) -> ScheduleTree:
     """DT(bound) with its DFS fork structure preserved.
 
-    The returned tree's ``payloads`` are the explorer's complete
+    Takes the knobs of :func:`enumerate_schedules`.  The returned
+    tree's ``payloads`` are the explorer's complete
     :class:`~repro.pitchfork.explorer.PathResult` records in enumeration
     order (so ``tree.schedules`` equals :func:`enumerate_schedules` on
     the same arguments), ``truncated`` reports whether any cap
@@ -93,14 +85,7 @@ def enumerate_schedule_tree(machine: Machine, config: Config,
     ``subsume`` consults the SeenStates table at every fork the walk
     expands (same caveats as :func:`enumerate_schedules`).
     """
-    options = ExplorationOptions(bound=bound, fwd_hazards=fwd_hazards,
-                                 max_paths=max_paths,
-                                 assume_unknown_branches=assume_unknown_branches,
-                                 strategy=strategy, seed=seed, prune=prune,
-                                 subsume=subsume,
-                                 mcts_c=mcts_c, mcts_playout=mcts_playout)
-    explorer = Explorer(machine, options)
-    result = explorer.explore(config)
+    result = _enumeration(machine, config, exploration, knobs)
     complete = [p for p in result.paths if p.complete]
     truncated = result.truncated or result.exhausted_paths > 0
     return ScheduleTree.from_paths(

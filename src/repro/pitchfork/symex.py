@@ -48,7 +48,7 @@ this reproduction targets.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import (Dict, Iterable, List, NamedTuple, Optional, Sequence,
                     Tuple, Union)
 
@@ -63,6 +63,7 @@ from ..core.program import Program
 from ..core.values import Value, join_labels
 from ..engine import (EMPTY_LOG, EngineStats, Log, ScheduleTree, TreeNode,
                       make_frontier)
+from .explorer import ExplorationOptions
 from .schedules import enumerate_schedule_tree
 
 
@@ -630,13 +631,16 @@ class SymbolicResult:
         return enum + self.replay.reused
 
 
-def analyze_symbolic_result(program: Program, config: Config,
-                            bound: int = 16, fwd_hazards: bool = False,
-                            max_schedules: int = 512,
+#: The symbolic back end's default exploration: a smaller bound, no
+#: forwarding hazards, at most 512 enumerated schedules.
+SYMBOLIC_EXPLORATION = ExplorationOptions(bound=16, fwd_hazards=False,
+                                          max_paths=512)
+
+
+def analyze_symbolic_result(program: Program, config: Config, *,
+                            exploration: Optional[ExplorationOptions] = None,
                             max_worlds: int = 256,
-                            strategy: str = "dfs",
-                            seed: int = 0,
-                            prune: str = "sleepset") -> SymbolicResult:
+                            **knobs) -> SymbolicResult:
     """Pitchfork with its symbolic back end, with full accounting.
 
     Enumerates tool schedules on a concrete representative — keeping
@@ -646,15 +650,22 @@ def analyze_symbolic_result(program: Program, config: Config,
     recorded traces (sound by determinism, Theorem B.1).  Returns every
     secret-labelled observation together with a solved attacker-input
     model, plus truncation flags and step/reuse counters.
+
+    The enumeration's knobs are ``exploration`` (default
+    :data:`SYMBOLIC_EXPLORATION`; ``max_paths`` caps the schedules)
+    with keyword ``knobs`` applied on top.  It always assumes unknown
+    branches, and refuses ``subsume``: two equal concrete states may
+    differ in the symbolic worlds reaching them.
     """
+    options = replace(exploration or SYMBOLIC_EXPLORATION,
+                      assume_unknown_branches=True, **knobs)
+    if options.subsume:
+        raise ValueError("symbolic replay cannot use subsume: equal "
+                         "concrete states may hide different symbolic "
+                         "worlds")
     rep = representative_config(config)
     machine = Machine(program)
-    tree = enumerate_schedule_tree(machine, rep, bound=bound,
-                                   fwd_hazards=fwd_hazards,
-                                   max_paths=max_schedules,
-                                   assume_unknown_branches=True,
-                                   strategy=strategy, seed=seed,
-                                   prune=prune)
+    tree = enumerate_schedule_tree(machine, rep, exploration=options)
     findings: List[SymbolicFinding] = []
     if _config_is_concrete(config):
         stats = ReplayStats()
@@ -668,7 +679,7 @@ def analyze_symbolic_result(program: Program, config: Config,
                               tree.engine_stats)
     runner = SymbolicRunner(program, max_worlds=max_worlds,
                             on_overflow="truncate",
-                            strategy=strategy, seed=seed)
+                            strategy=options.strategy, seed=options.seed)
     for index, worlds in runner.run_tree(config, tree):
         schedule = tree.schedules[index]
         for world in worlds:
@@ -700,7 +711,7 @@ def analyze_symbolic(program: Program, config: Config,
     """
     result = analyze_symbolic_result(
         program, config, bound=bound, fwd_hazards=fwd_hazards,
-        max_schedules=max_schedules, max_worlds=max_worlds)
+        max_paths=max_schedules, max_worlds=max_worlds)
     if result.truncated:
         import warnings
         warnings.warn(

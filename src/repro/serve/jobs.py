@@ -30,7 +30,7 @@ from ..api.project import AnalysisOptions, Project
 from ..api.report import Report
 
 __all__ = ["resolve_project", "run_job", "effective_options",
-           "spec_for_name", "spec_for_asm"]
+           "preset_options", "spec_for_name", "spec_for_asm"]
 
 
 def spec_for_name(name: str, preset: Optional[str] = None) -> Dict[str, Any]:
@@ -53,8 +53,8 @@ def spec_for_asm(source: str, *, regs: Optional[Mapping[str, int]] = None,
     return spec
 
 
-def _preset_options(spec: Mapping[str, Any]) -> Optional[AnalysisOptions]:
-    preset = spec.get("preset")
+def preset_options(preset: Optional[str]) -> Optional[AnalysisOptions]:
+    """The options of a named preset (None: the target's own defaults)."""
     if preset is None:
         return None
     if preset == "paper":
@@ -74,7 +74,7 @@ def resolve_project(spec: Mapping[str, Any]) -> Project:
     unknown names and ``ValueError`` for malformed specs.
     """
     kind = spec.get("kind", "name")
-    options = _preset_options(spec)
+    options = preset_options(spec.get("preset"))
     if kind == "asm":
         source = spec.get("source")
         if not isinstance(source, str) or not source.strip():

@@ -21,13 +21,16 @@ This module hunts for divergences:
   instruction sequence that still disagrees, for landing as a
   :mod:`repro.litmus.diffregress` regression case.
 
-Classification protocol: backends may legitimately differ when either
-run was cut by a search budget (``max_paths`` truncation or per-path
+Classification protocol: agreement is only established between two
+*complete* runs with equal observation sets (``agree``).  When either
+run was cut by a search budget (``max_paths`` truncation, per-path
 ``max_fetches``/``max_steps`` exhaustion — non-terminating product
 programs built from ``ret``-through-just-written-return-address loops
-are the common cause).  Such records are ``explained-budget``, reported
-but not failures.  A divergence between two *complete* runs is a real
-``disagree`` — the harness minimises it and exits nonzero.
+are the common cause — or an expired ``budget_seconds``), nothing is
+established, whether or not the sets happen to be equal: such records
+are ``explained-budget``, reported but not failures.  A divergence
+between two complete runs is a real ``disagree`` — the harness
+minimises it and exits nonzero.
 
 Run it directly::
 
@@ -47,12 +50,11 @@ from ..api.project import AnalysisOptions
 from ..core.config import Config
 from ..core.isa import (Br, Call, Fence, Instruction, Load, Op, Ret, Store)
 from ..core.lattice import PUBLIC, SECRET
-from ..core.machine import Machine
 from ..core.memory import Memory, Region
 from ..core.program import Program
 from ..core.values import Reg, Value, operands
 from ..litmus import all_cases
-from ..pitchfork.explorer import ExplorationOptions, Explorer
+from ..pitchfork.detector import analyze
 from ..verify.generators import (ARENA, ARENA_SIZE, REGS, random_config,
                                  random_program)
 from .interp import explore_sps
@@ -83,18 +85,24 @@ class DiffRecord:
     minimized: Optional[Program] = None
 
     @property
+    def complete(self) -> bool:
+        """Both runs covered the whole question."""
+        return self.pf_complete and self.sps_complete
+
+    @property
     def agree(self) -> bool:
-        return self.pf_obs == self.sps_obs
+        """Equal observation sets from two complete runs."""
+        return self.complete and self.pf_obs == self.sps_obs
 
     @property
     def explained(self) -> bool:
-        """Divergent, but a search budget interfered with either run."""
-        return not self.agree and not (self.pf_complete and self.sps_complete)
+        """Not established: a search budget cut at least one run."""
+        return not self.complete
 
     @property
     def disagree(self) -> bool:
         """Divergent with both runs complete: a real bug somewhere."""
-        return not self.agree and self.pf_complete and self.sps_complete
+        return self.complete and self.pf_obs != self.sps_obs
 
     @property
     def status(self) -> str:
@@ -124,20 +132,13 @@ class DiffRecord:
 
 def _pf_observations(program: Program, config: Config,
                      options: AnalysisOptions) -> Tuple[Tuple[str, ...], bool]:
-    """The explorer's flagged observation set, plus completeness."""
-    opts = ExplorationOptions(
-        bound=options.bound,
-        fwd_hazards=options.fwd_hazards,
-        explore_aliasing=options.explore_aliasing,
-        jmpi_targets=options.jmpi_targets,
-        rsb_targets=options.rsb_targets,
-        max_paths=options.max_paths,
-        max_steps=options.max_steps)
-    explorer = Explorer(Machine(program, rsb_policy=options.rsb_policy), opts)
-    result = explorer.explore(config, stop_at_first=False)
-    obs = tuple(sorted({repr(v.observation) for v in result.violations}))
-    complete = not result.truncated and result.exhausted_paths == 0
-    return obs, complete
+    """The explorer's flagged observation set, plus completeness, under
+    every exploration knob of ``options`` and its ``shards``."""
+    report = analyze(program, config, stop_at_first=False,
+                     rsb_policy=options.rsb_policy, shards=options.shards,
+                     exploration=options.exploration())
+    obs = tuple(sorted({repr(v.observation) for v in report.violations}))
+    return obs, not report.truncated
 
 
 def _sps_observations(program: Program, config: Config,

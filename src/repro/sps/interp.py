@@ -57,7 +57,7 @@ from ..core.directives import Directive, Execute, Fetch
 from ..core.errors import ReproError
 from ..core.isa import (Br, Call, ConcreteEvaluator, Evaluator, Fence, Jmpi,
                         Load, Op, Ret, Store)
-from ..core.machine import RSP
+from ..core.machine import RSB_POLICIES, RSP
 from ..core.memory import Memory
 from ..core.observations import (Fwd, Jump, Observation, Read, Write,
                                  is_secret_dependent)
@@ -579,7 +579,7 @@ def explore_sps(program: Program, config: Config, *,
     on identical questions and their flagged observation sets are
     directly comparable.
     """
-    if rsb_policy not in ("directive", "refuse", "circular"):
+    if rsb_policy not in RSB_POLICIES:
         raise ValueError(f"unknown rsb_policy {rsb_policy!r}")
     if bound < 1:
         raise ValueError(f"speculation bound must be >= 1, got {bound}")
