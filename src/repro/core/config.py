@@ -68,9 +68,17 @@ class Config:
         if not kw.keys() <= self._FIELDS:
             raise TypeError(f"unknown config fields "
                             f"{sorted(kw.keys() - self._FIELDS)}")
-        return Config(kw.get("regs", self.regs), kw.get("mem", self.mem),
-                      kw.get("pc", self.pc), kw.get("buf", self.buf),
-                      kw.get("rsb", self.rsb))
+        new = Config(kw.get("regs", self.regs), kw.get("mem", self.mem),
+                     kw.get("pc", self.pc), kw.get("buf", self.buf),
+                     kw.get("rsb", self.rsb))
+        if "regs" not in kw:
+            rhash = self.__dict__.get("_rhash")
+            if rhash is not None:
+                # Same register file, same hash: most steps leave the
+                # registers alone, and sorting them is the bulk of a
+                # configuration's hash.
+                object.__setattr__(new, "_rhash", rhash)
+        return new
 
     def snapshot(self) -> "Config":
         """This configuration as an O(1) snapshot.
@@ -145,10 +153,13 @@ class Config:
             return self._shash
         except AttributeError:
             pass
-        h = hash((tuple(sorted((r.name, v.val, v.label)
-                               for r, v in self.regs.items()
-                               if isinstance(v.val, int))),
-                  self.mem, self.pc, self.buf, self.rsb))
+        rhash = self.__dict__.get("_rhash")
+        if rhash is None:
+            rhash = hash(tuple(sorted((r.name, v.val, v.label)
+                                      for r, v in self.regs.items()
+                                      if isinstance(v.val, int))))
+            object.__setattr__(self, "_rhash", rhash)
+        h = hash((rhash, self.mem, self.pc, self.buf, self.rsb))
         object.__setattr__(self, "_shash", h)
         return h
 

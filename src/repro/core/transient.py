@@ -180,13 +180,13 @@ class TRetMarker(Transient):
         return "ret"
 
 
-def assigns(instr: Transient, reg: Reg) -> bool:
-    """Does this transient instruction have the form ``(reg = _)``?
-
-    Used by the register resolve function (Fig 3) to find the latest
-    in-flight assignment to a register.
-    """
-    return isinstance(instr, (TOp, TValue, TLoad)) and instr.dest == reg
+def assigned_register(instr: Transient) -> Optional[Reg]:
+    """The register ``r`` of an instruction of the form ``(r = _)``, or
+    None.  The reorder buffer indexes in-flight assignments by it for
+    the register resolve function (Fig 3)."""
+    if isinstance(instr, (TOp, TValue, TLoad)):
+        return instr.dest
+    return None
 
 
 def resolved_value_of(instr: Transient) -> Union[Value, _Bottom]:

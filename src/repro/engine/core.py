@@ -61,6 +61,8 @@ class EngineStats:
     forks: int = 0          #: fork points the driver took
     reused: int = 0         #: steps resumed from snapshots / shared prefixes
     states_subsumed: int = 0  #: fork arms pruned by the SeenStates table
+    decisions: int = 0      #: DT(n) scheduler decisions taken
+    rob_visits: int = 0     #: buffer entries those decisions inspected
     # Time-to-first-violation, recorded once by the driver when the
     # first violating path completes.  Pops and steps are deterministic
     # (strategy-comparable without external timing); wall time is the
@@ -72,6 +74,7 @@ class EngineStats:
     def snapshot(self) -> "EngineStats":
         return EngineStats(self.steps, self.cache_hits, self.stuck_hits,
                            self.forks, self.reused, self.states_subsumed,
+                           self.decisions, self.rob_visits,
                            self.first_violation_pops,
                            self.first_violation_steps,
                            self.first_violation_wall)
@@ -99,6 +102,8 @@ class EngineStats:
         self.forks += other.forks
         self.reused += other.reused
         self.states_subsumed += other.states_subsumed
+        self.decisions += other.decisions
+        self.rob_visits += other.rob_visits
         if other.first_violation_steps is not None and (
                 self.first_violation_steps is None
                 or other.first_violation_steps < self.first_violation_steps):

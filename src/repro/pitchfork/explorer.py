@@ -89,7 +89,7 @@ from ..core.observations import (Observation, Rollback, Trace,
                                  is_secret_dependent)
 from ..core.rob import resolve_operands
 from ..core.transient import (TBr, TCallMarker, TFence, TJmpi, TJump, TLoad,
-                              TOp, TRetMarker, TStore, TValue, assigns)
+                              TOp, TRetMarker, TStore, TValue)
 from ..core.values import BOTTOM, Value
 from ..engine import (EngineStats, ExecutionEngine, MachineState,
                       PruningStats, SeenStates, SubsumptionStats,
@@ -869,6 +869,7 @@ class Explorer:
         terminated.
         """
         config = path.config
+        self.engine.stats.decisions += 1
 
         eager = self._eager_actions(path)
         if eager is not None:
@@ -888,10 +889,39 @@ class Explorer:
                        path: MachineState) -> Optional[List[List[_Action]]]:
         """Definition B.18's "immediately after fetch" work, plus the
         choice points (per-load forwarding outcomes, aliasing
-        prediction, mispredicted-jmpi timing)."""
+        prediction, mispredicted-jmpi timing).
+
+        Only the buffer's active entries can act, and none behind the
+        oldest fence can: every move below executes entry ``i`` itself,
+        which the fence side condition blocks.  So a decision visits
+        the active entries older than the first fence, not the whole
+        buffer."""
         config = path.config
-        for i, entry in config.buf.items():
-            if isinstance(entry, TOp):
+        buf = config.buf
+        stats = self.engine.stats
+        stop = buf.first_fence()
+        if stop is None:
+            stop = buf.max_index()
+        for i, entry in buf.active_items():
+            if i > stop:
+                break
+            stats.rob_visits += 1
+            # Branches first: a delayed (mispredicted) branch stays
+            # active until it is the oldest entry, so most visits are
+            # to branches whose target the buffer already remembers.
+            if isinstance(entry, TBr):
+                if self.options.assume_unknown_branches:
+                    continue  # all branches delayed in symbolic mode
+                # Resolve immediately only when the guess was correct
+                # (mispredicted branches are delayed until oldest) and no
+                # older fence blocks execution.
+                arm = buf.known_target(i, entry)
+                if arm is None:
+                    arm = self._actual_br_target(config, i, entry)
+                if arm is not None and arm == entry.guess and \
+                        self._can(config, Execute(i)):
+                    return [[Execute(i)]]
+            elif isinstance(entry, TOp):
                 if self._can(config, Execute(i)):
                     return [[Execute(i)]]
             elif isinstance(entry, TLoad) and entry.pred is None:
@@ -946,20 +976,12 @@ class Explorer:
                                                       entry.args) and \
                             self._can(config, Execute(i, "addr")):
                         return [[Execute(i, "addr")], [_Defer(i)]]
-            elif isinstance(entry, TBr):
-                if self.options.assume_unknown_branches:
-                    continue  # all branches delayed in symbolic mode
-                # Resolve immediately only when the guess was correct
-                # (mispredicted branches are delayed until oldest) and no
-                # older fence blocks execution.
-                arm = self._actual_br_target(config, i, entry)
-                if arm is not None and arm == entry.guess and \
-                        self._can(config, Execute(i)):
-                    return [[Execute(i)]]
             elif isinstance(entry, TJmpi):
                 if i in path.delayed:
                     continue
-                target = self._actual_jmpi_target(config, i, entry)
+                target = buf.known_target(i, entry)
+                if target is None:
+                    target = self._actual_jmpi_target(config, i, entry)
                 if target is None or not self._can(config, Execute(i)):
                     continue
                 if target == entry.guess:
@@ -1061,13 +1083,9 @@ class Explorer:
         timing of the address resolution — and hence whether its
         ``fwd`` observation happens before a rollback squashes the
         entry — is not schedule-independent."""
-        for rv in args:
-            if isinstance(rv, Value):
-                continue
-            for j in reversed(config.buf.indices()):
-                if j < i and assigns(config.buf[j], rv):
-                    return True
-        return False
+        return any(not isinstance(rv, Value) and
+                   config.buf.youngest_assignment(rv, i) is not None
+                   for rv in args)
 
     def _eventual_address(self, config: Config, i: int,
                           args) -> Optional[int]:
@@ -1172,22 +1190,33 @@ class Explorer:
 
     # -- resolved targets of in-flight control flow ---------------------------
 
+    # Both resolve an in-flight entry and remember the target on the
+    # buffer (``known_target``): a delayed (mispredicted) entry is asked
+    # again at every decision until it is the oldest, and resolved
+    # operands never change, so each entry is resolved once.
+
     def _actual_br_target(self, config: Config, i: int,
                           entry: TBr) -> Optional[int]:
-        vals = resolve_operands(config.buf, i, config.regs, entry.args)
+        buf = config.buf
+        vals = resolve_operands(buf, i, config.regs, entry.args)
         if vals is None:
             return None
         cond = self.machine.evaluator.evaluate(entry.opcode, vals)
         taken = self.machine.evaluator.truth(cond)
-        return entry.targets[0] if taken else entry.targets[1]
+        target = entry.targets[0] if taken else entry.targets[1]
+        buf.remember_target(i, entry, target)
+        return target
 
     def _actual_jmpi_target(self, config: Config, i: int,
                             entry: TJmpi) -> Optional[int]:
-        vals = resolve_operands(config.buf, i, config.regs, entry.args)
+        buf = config.buf
+        vals = resolve_operands(buf, i, config.regs, entry.args)
         if vals is None:
             return None
         addr = self.machine.evaluator.address(vals)
-        return self.machine.evaluator.concretize(addr)
+        target = self.machine.evaluator.concretize(addr)
+        buf.remember_target(i, entry, target)
+        return target
 
     # -- the full-buffer move -------------------------------------------------
 
@@ -1208,7 +1237,7 @@ class Explorer:
             # addresses: Definition B.18 includes the execute-addr arm
             # for every store, and a store whose *address* depends on a
             # secret leaks exactly here (``fwd a_sec``).
-            for j, other in config.buf.items():
+            for j, other in config.buf.active_items():
                 if (isinstance(other, TStore) and other.value_resolved()
                         and not other.addr_resolved()
                         and self._can(config, Execute(j, "addr"))):

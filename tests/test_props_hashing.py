@@ -22,7 +22,9 @@ from repro.core.memory import Memory, Region
 from repro.core.program import Program
 from repro.core.rob import ReorderBuffer
 from repro.core.rsb import ReturnStackBuffer
-from repro.core.transient import TOp, TValue
+from repro.core.transient import (TBr, TCallMarker, TFence, TJmpi, TJump,
+                                  TLoad, TOp, TStore, TValue,
+                                  assigned_register)
 from repro.core.values import Reg, Value, operands
 from repro.litmus import all_cases
 
@@ -215,3 +217,118 @@ class TestConfigProgramHashProps:
         for a, b in zip(*runs):
             assert a == b
             assert hash(a) == hash(b)
+
+
+# -- the reorder buffer's scheduler caches ---------------------------------
+
+_R0, _R1, _R2 = Reg("r0"), Reg("r1"), Reg("r2")
+_ENTRIES = [
+    TOp(_R0, "add", (_R1, Value(1))),
+    TOp(_R1, "mov", (_R0,)),
+    TValue(_R0, Value(3)),
+    TValue(_R2, Value(4, SECRET)),
+    TLoad(_R1, (_R0,), pp=5),
+    TLoad(_R2, (_R0,), pp=6, pred=(Value(7), 1)),
+    TStore(_R0, (_R1,)),
+    TStore(Value(2), (_R1,)),
+    TStore(Value(2), (_R1,), Value(9)),
+    TBr("eq", (_R0, Value(0)), 3, (3, 4)),
+    TJmpi((_R1,), 8),
+    TFence(),
+    TJump(4),
+    TCallMarker(),
+]
+entries = st.sampled_from(_ENTRIES)
+buffer_ops = st.lists(st.one_of(
+    st.tuples(st.just("insert"), st.lists(entries, min_size=1, max_size=6)),
+    st.tuples(st.just("set"), st.integers(0, 15), entries),
+    st.tuples(st.just("retire"), st.integers(1, 3)),
+    st.tuples(st.just("truncate"), st.integers(-2, 16)),
+), max_size=30)
+
+
+def _history(ops, hash_each):
+    """Every buffer along a random fetch/execute/retire/rollback
+    history; ``hash_each`` hashes each one on the way, so the next
+    derives its hash incrementally instead of lazily from scratch."""
+    buf = ReorderBuffer()
+    out = [buf]
+    for op in ops:
+        if op[0] == "insert":
+            buf = buf.append_all(tuple(op[1]))
+        elif op[0] == "set":
+            if buf:
+                buf = buf.set(buf.min_index() + op[1] % len(buf), op[2])
+        elif op[0] == "retire":
+            if buf:
+                buf = buf.remove_min(min(op[1], len(buf)))
+        else:
+            buf = buf.truncate_before(buf.min_index() + op[1])
+        if hash_each:
+            hash(buf)
+        out.append(buf)
+    return out
+
+
+def _fresh(buf):
+    """The same value, built from scratch."""
+    return ReorderBuffer(buf.min_index(), tuple(e for _i, e in buf.items()))
+
+
+def _can_act(entry):
+    return (isinstance(entry, (TOp, TBr, TJmpi))
+            or (isinstance(entry, TLoad) and entry.pred is None)
+            or (isinstance(entry, TStore) and not entry.fully_resolved()))
+
+
+class TestBufferCacheProps:
+    """Each fact a mutation maintains on the buffer equals the fact
+    recomputed from the buffer's value."""
+
+    @given(buffer_ops, st.booleans())
+    def test_caches_equal_recomputation(self, ops, hash_each):
+        for buf in _history(ops, hash_each):
+            items = list(buf.items())
+            fence = next((i for i, e in items if isinstance(e, TFence)),
+                         None)
+            assert buf.first_fence() == fence
+            assert list(buf.active_items()) == [(i, e) for i, e in items
+                                                if _can_act(e)]
+            for reg in (_R0, _R1, _R2):
+                for i in range(buf.min_index() - 1, buf.max_index() + 2):
+                    walk = [j for j, e in items
+                            if j < i and assigned_register(e) == reg]
+                    assert buf.youngest_assignment(reg, i) == \
+                        (walk[-1] if walk else None)
+            assert hash(buf) == hash(_fresh(buf))
+
+    @given(buffer_ops)
+    def test_hash_independent_of_when_it_was_first_taken(self, ops):
+        eager = _history(ops, hash_each=True)
+        lazy = _history(ops, hash_each=False)
+        for a, b in zip(eager, lazy):
+            assert a == b and hash(a) == hash(b)
+
+    @given(buffer_ops)
+    def test_equal_buffers_from_different_histories_hash_equal(self, ops):
+        """Rebuild the final buffer another way — from an empty buffer at
+        its base, each slot fetched as a fence and then rewritten — and
+        the two must be equal and hash equal."""
+        buf = _history(ops, hash_each=True)[-1]
+        twin = ReorderBuffer(buf.min_index() if buf else 1)
+        hash(twin)
+        for _i, entry in buf.items():
+            i, twin = twin.insert_next(TFence())
+            twin = twin.set(i, entry)
+        assert twin == buf
+        assert hash(twin) == hash(buf)
+        assert twin.first_fence() == buf.first_fence()
+        assert list(twin.active_items()) == list(buf.active_items())
+
+    @given(st.integers(1, 50), st.integers(1, 50), buffer_ops)
+    def test_empty_buffers_hash_equal_at_any_base(self, b1, b2, ops):
+        drained = _history(ops, hash_each=True)[-1]
+        drained = drained.remove_min(len(drained))
+        for empty in (ReorderBuffer(b1), ReorderBuffer(b2), drained):
+            assert empty == ReorderBuffer()
+            assert hash(empty) == hash(ReorderBuffer())

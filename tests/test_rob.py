@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.rob import (ReorderBuffer, resolve_operand, resolve_operands,
                             resolve_register)
-from repro.core.transient import TLoad, TOp, TStore, TValue
+from repro.core.transient import TBr, TLoad, TOp, TStore, TValue
 from repro.core.values import BOTTOM, Reg, Value, operands, public, secret
 
 RA, RB = Reg("ra"), Reg("rb")
@@ -133,3 +133,60 @@ class TestRegisterResolve:
         buf = _buf(TValue(RA, public(1)))
         out = resolve_operands(buf, 2, {RB: public(2)}, operands("ra", "rb", 3))
         assert out == (public(1), public(2), public(3))
+
+
+class TestTargetMemo:
+    """The remembered branch/jmpi targets flow to derived buffers only,
+    answer only for the very entry they were learned for, and are
+    dropped by a squash."""
+
+    def _branch(self):
+        return TBr("eq", operands("ra", 0), 10, (10, 20))
+
+    def test_derived_buffers_share_the_facts(self):
+        br = self._branch()
+        buf = _buf(TValue(RA, public(0)), br)
+        buf.remember_target(2, br, 10)
+        assert buf.known_target(2, br) == 10
+        for derived in (buf.insert_next(TValue(RB, public(1)))[1],
+                        buf.set(1, TValue(RA, public(0))),
+                        buf.remove_min(), buf.truncate_before(3)):
+            assert derived.known_target(2, br) == 10
+
+    def test_facts_never_flow_to_parent_or_sibling(self):
+        br = self._branch()
+        parent = _buf(TOp(RA, "add", operands(1, 2)), br)
+        child = parent.set(1, TValue(RA, public(3)))
+        sibling = parent.set(1, TValue(RA, public(0)))
+        child.remember_target(2, br, 20)
+        assert child.known_target(2, br) == 20
+        assert parent.known_target(2, br) is None
+        assert sibling.known_target(2, br) is None
+
+    def test_answers_only_for_the_same_entry(self):
+        br = self._branch()
+        buf = _buf(br)
+        buf.remember_target(1, br, 10)
+        assert buf.known_target(1, br) == 10
+        assert buf.known_target(1, self._branch()) is None
+
+    def test_truncate_drops_squashed_facts(self):
+        br = self._branch()
+        buf = _buf(TValue(RA, public(0)), br)
+        buf.remember_target(2, br, 10)
+        squashed = buf.truncate_before(2)
+        _i, refetched = squashed.insert_next(br)
+        assert refetched.known_target(2, br) is None
+        assert buf.known_target(2, br) == 10
+
+
+class TestAssignmentIndex:
+    def test_youngest_assignment_before_index(self):
+        buf = _buf(TValue(RA, public(1)), TStore(RA, operands(0x40)),
+                   TOp(RA, "add", operands(1, 2)), TLoad(RB, operands(0), pp=4))
+        assert buf.youngest_assignment(RA, 1) is None
+        assert buf.youngest_assignment(RA, 3) == 1
+        assert buf.youngest_assignment(RA, 9) == 3
+        assert buf.youngest_assignment(RB, 9) == 4
+        assert buf.remove_min().youngest_assignment(RA, 3) is None
+        assert buf.truncate_before(3).youngest_assignment(RA, 9) == 1
