@@ -11,7 +11,7 @@ forwarding-hazard detection)::
     OpenSSL MEE-CBC               ✓    f
 """
 
-from typing import List
+from typing import List, Tuple
 
 from .common import (CaseStudy, CaseVariant, TABLE2_BOUND_FWD,
                      TABLE2_BOUND_NO_FWD, evaluate_variant, render_table2,
@@ -19,14 +19,18 @@ from .common import (CaseStudy, CaseVariant, TABLE2_BOUND_FWD,
 from . import donna, mee_cbc, secretbox, ssl3_record
 
 
+#: The four studies, compiled on first use and then shared: the
+#: :class:`CaseStudy`/:class:`CaseVariant` records are frozen.
+_STUDIES: Tuple[CaseStudy, ...] = ()
+
+
 def all_case_studies() -> List[CaseStudy]:
-    """All four Table 2 rows, paper order."""
-    return [
-        donna.case_study(),
-        secretbox.case_study(),
-        ssl3_record.case_study(),
-        mee_cbc.case_study(),
-    ]
+    """All four Table 2 rows, paper order (a fresh list each call)."""
+    global _STUDIES
+    if not _STUDIES:
+        _STUDIES = (donna.case_study(), secretbox.case_study(),
+                    ssl3_record.case_study(), mee_cbc.case_study())
+    return list(_STUDIES)
 
 
 __all__ = [

@@ -14,6 +14,7 @@ examples") is packaged as a :class:`LitmusCase` carrying:
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -57,41 +58,62 @@ class LitmusCase:
 
 _SUITES: Dict[str, Callable[[], List[LitmusCase]]] = {}
 
+#: Every suite built once per process, with a name index over them;
+#: ``None`` until first use and again after a new registration.  The
+#: records are frozen, so every caller shares them; the lists handed
+#: out are fresh copies.
+_BUILT: Optional[Tuple[Dict[str, Tuple[LitmusCase, ...]],
+                       Dict[str, LitmusCase]]] = None
+_BUILD_LOCK = threading.Lock()
+
 
 def suite(name: str):
     """Decorator registering a suite factory under ``name``."""
     def register(fn: Callable[[], List[LitmusCase]]):
+        global _BUILT
         _SUITES[name] = fn
+        _BUILT = None
         return fn
     return register
 
 
-def load_suite(name: str) -> List[LitmusCase]:
-    """Instantiate a registered suite by name."""
+def _built() -> Tuple[Dict[str, Tuple[LitmusCase, ...]],
+                      Dict[str, LitmusCase]]:
+    """The built suites and the name index (built on first use)."""
+    global _BUILT
+    built = _BUILT
+    if built is not None:
+        return built
     # Import side effects register the suites on first use.
     from . import aliasing, diffregress, haystack, kocher, spec_rsb, \
         spec_v1, spec_v11, spec_v4  # noqa: F401
-    return _SUITES[name]()
+    with _BUILD_LOCK:
+        if _BUILT is None:
+            suites = {name: tuple(factory())
+                      for name, factory in sorted(_SUITES.items())}
+            index: Dict[str, LitmusCase] = {}
+            for cases in suites.values():
+                for case in cases:
+                    index.setdefault(case.name, case)
+            _BUILT = (suites, index)
+        return _BUILT
+
+
+def load_suite(name: str) -> List[LitmusCase]:
+    """A registered suite's cases, by suite name."""
+    return list(_built()[0][name])
 
 
 def all_suites() -> Dict[str, List[LitmusCase]]:
-    from . import aliasing, diffregress, haystack, kocher, spec_rsb, \
-        spec_v1, spec_v11, spec_v4  # noqa: F401
-    return {name: factory() for name, factory in sorted(_SUITES.items())}
+    return {name: list(cases) for name, cases in _built()[0].items()}
 
 
 def all_cases() -> List[LitmusCase]:
-    out: List[LitmusCase] = []
-    for cases in all_suites().values():
-        out.extend(cases)
-    return out
+    return [case for cases in _built()[0].values() for case in cases]
 
 
 def find_case(name: str) -> LitmusCase:
-    for case in all_cases():
-        if case.name == name:
-            return case
-    raise KeyError(name)
+    return _built()[1][name]
 
 
 def expected_repair_status(case: LitmusCase) -> str:

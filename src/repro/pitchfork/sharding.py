@@ -561,7 +561,7 @@ class ShardedExplorer:
                 truncated=result.truncated, wall_time=wall))
             # Streaming results: each merged shard publishes its
             # ShardStats plus the *new* findings it contributed, so a
-            # daemon's status poll can report partial findings while
+            # daemon's held status can report partial findings while
             # later shards are still running.
             self._emit({"kind": "shard", "index": len(shard_stats) - 1,
                         "prefix_len": prefix_len,

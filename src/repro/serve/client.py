@@ -8,9 +8,11 @@ multiplexes connections).  The high-level helpers mirror the CLI verbs:
         job = client.submit({"kind": "name", "name": "kocher_01"})
         report, cache = client.wait(job["job"])
 
-``wait`` polls ``status`` (cheap: the daemon answers from the job
-table) and pages through the streaming progress events, handing each to
-an optional callback as it arrives.
+``wait`` pages through the job's streaming progress events with
+*held* ``status`` calls: the daemon answers each one when the job has
+something new (an event, or its final state), so the client never
+sleeps and learns of the result one round trip after the job ends.
+Each event is handed to an optional callback as it arrives.
 """
 
 from __future__ import annotations
@@ -139,8 +141,26 @@ class ServeClient:
         return self.call("submit", target=dict(target), analysis=analysis,
                          options=dict(options or {}))
 
-    def status(self, job_id: str, since: int = 0) -> Dict[str, Any]:
-        return self.call("status", job=job_id, since=since)
+    def status(self, job_id: str, since: int = 0,
+               wait: Optional[float] = None) -> Dict[str, Any]:
+        """The job's state and its events from ``since`` on.
+
+        With ``wait`` (seconds) the daemon holds the reply until the job
+        has events past ``since`` or has settled, or the wait (capped at
+        :data:`~repro.serve.protocol.MAX_HOLD`) runs out.  A daemon too
+        old to hold raises :class:`ServeError` instead of answering at
+        once, so a waiting loop can never spin on it.
+        """
+        if wait is None:
+            return self.call("status", job=job_id, since=since)
+        reply = self.call("status", job=job_id, since=since, wait=wait)
+        if reply.get("protocol") != protocol.PROTOCOL_VERSION:
+            raise ServeError(
+                protocol.PROTOCOL_MISMATCH,
+                f"daemon speaks protocol {reply.get('protocol', 1)}, "
+                f"held status needs {protocol.PROTOCOL_VERSION} "
+                f"(restart `repro serve`)")
+        return reply
 
     def result(self, job_id: str) -> Tuple[Report, Dict[str, Any]]:
         """The finished job's :class:`Report` plus the daemon's cache
@@ -175,32 +195,35 @@ class ServeClient:
     # -- conveniences --------------------------------------------------------
 
     def wait(self, job_id: str, timeout: Optional[float] = None,
-             poll: float = 0.05,
              on_event: Optional[Callable[[Dict[str, Any]], None]] = None
              ) -> Tuple[Report, Dict[str, Any]]:
-        """Poll until the job settles; return (report, cache counters).
+        """Wait until the job settles; return (report, cache counters).
 
-        Streams progress: each new event is passed to ``on_event`` as
-        the poll that first sees it.  Raises :class:`ServeError` for
-        failed/cancelled jobs and ``TimeoutError`` on ``timeout``.
+        Each round is one held ``status``, answered as soon as the job
+        has new events or settles.  Streams progress: each new event is
+        passed to ``on_event`` as it arrives.  Raises
+        :class:`ServeError` for failed/cancelled jobs and
+        ``TimeoutError`` on ``timeout``.
         """
         deadline = None if timeout is None else time.monotonic() + timeout
+        # Hold each status well inside the socket timeout.
+        cap = protocol.MAX_HOLD if self.timeout is None \
+            else min(protocol.MAX_HOLD, self.timeout / 2)
         cursor = 0
-        delay = poll
         while True:
-            status = self.status(job_id, since=cursor)
+            hold = cap if deadline is None \
+                else max(0.0, min(cap, deadline - time.monotonic()))
+            status = self.status(job_id, since=cursor, wait=hold)
             if on_event is not None:
                 for event in status.get("events", ()):
                     on_event(event)
             cursor = status.get("next_cursor", cursor)
             if status["state"] not in ("queued", "running"):
                 return self.result(job_id)
-            if deadline is not None and time.monotonic() > deadline:
+            if deadline is not None and time.monotonic() >= deadline:
                 raise TimeoutError(
                     f"job {job_id} still {status['state']} after "
                     f"{timeout}s")
-            time.sleep(delay)
-            delay = min(delay * 1.5, 0.5)
 
     def submit_and_wait(self, target: Mapping[str, Any],
                         analysis: str = "pitchfork",

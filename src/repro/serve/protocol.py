@@ -11,7 +11,9 @@ needs exactly five verbs plus lifecycle::
 Methods (see :class:`repro.serve.server.ReproServer`):
 
 ``ping``, ``submit``, ``status``, ``result``, ``cancel``, ``stats``,
-``results`` (store listing) and ``shutdown``.
+``results`` (store listing) and ``shutdown``.  ``status`` with a
+``wait`` of *s* seconds is *held*: the reply comes when the job has new
+events or settles, or after ``min(s, MAX_HOLD)`` seconds.
 
 Error codes follow the JSON-RPC spec for transport errors and use the
 server range for domain errors (unknown job/target, draining, …).
@@ -22,15 +24,23 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, Optional
 
-__all__ = ["PROTOCOL_VERSION", "MAX_LINE", "ProtocolError", "ServeError",
-           "request", "response", "error_response", "encode", "decode",
-           "PARSE_ERROR", "INVALID_REQUEST", "METHOD_NOT_FOUND",
+__all__ = ["PROTOCOL_VERSION", "MAX_HOLD", "MAX_LINE", "ProtocolError",
+           "ServeError", "request", "response", "error_response", "encode",
+           "decode", "PARSE_ERROR", "INVALID_REQUEST", "METHOD_NOT_FOUND",
            "INVALID_PARAMS", "INTERNAL_ERROR", "UNKNOWN_JOB",
-           "UNKNOWN_TARGET", "JOB_NOT_DONE", "JOB_FAILED", "DRAINING"]
+           "UNKNOWN_TARGET", "JOB_NOT_DONE", "JOB_FAILED", "DRAINING",
+           "PROTOCOL_MISMATCH"]
 
 #: Bumped when the RPC surface changes incompatibly; exchanged in
-#: ``ping`` so mismatched client/daemon pairs fail loudly.
-PROTOCOL_VERSION = 1
+#: ``ping`` and carried by every ``status`` reply so mismatched
+#: client/daemon pairs fail loudly.  Version 2 added held statuses
+#: (``status`` with ``wait``).
+PROTOCOL_VERSION = 2
+
+#: Longest the daemon holds a ``status`` reply, in seconds, however
+#: long the client asks to wait.  Well below the clients' socket
+#: timeouts, so a held reply always arrives before the socket gives up.
+MAX_HOLD = 30.0
 
 #: Upper bound on one protocol line.  Reports with thousands of
 #: violation digests fit in well under a tenth of this.
@@ -49,6 +59,7 @@ UNKNOWN_TARGET = -32001
 JOB_NOT_DONE = -32002
 JOB_FAILED = -32003
 DRAINING = -32004
+PROTOCOL_MISMATCH = -32005
 
 
 class ProtocolError(Exception):

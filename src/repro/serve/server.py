@@ -15,8 +15,11 @@ owned resources:
   memory tier above it) without ever touching the pool;
 * a job table with streaming progress — sharded runs publish their
   per-shard merge events (:class:`ShardStats` fields + partial
-  findings) into the job record, which ``status`` polls page through
-  with a cursor.
+  findings) into the job record, which ``status`` requests page through
+  with a cursor.  A ``status`` with ``wait`` is *held*: its reply is
+  sent when :meth:`Job.add_event` records the next event (or the job
+  settles, or :data:`~repro.serve.protocol.MAX_HOLD` runs out), so a
+  client learns of a finished job one round trip after it finishes.
 
 RPC surface (JSON-RPC 2.0, newline-delimited; see
 :mod:`repro.serve.protocol`): ``ping``, ``submit``, ``status``,
@@ -29,8 +32,10 @@ in-flight jobs, warm-hit ratio) sampled periodically and refreshed
 on-demand by the ``metrics`` RPC — ``repro serve --stats`` renders it.
 
 Shutdown is a *drain*: new submissions are refused, in-flight jobs run
-to completion (and are persisted), then the pool is shut down and the
-listener closed — in-flight work is never dropped on the floor.
+to completion (and are persisted), held statuses are answered, open
+connections are closed after the request they are on, then the pool is
+shut down and the listener closed — in-flight work is never dropped on
+the floor.
 """
 
 from __future__ import annotations
@@ -43,7 +48,7 @@ import time
 import traceback
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..api.analyses import get_analysis
 from ..api.project import AnalysisOptions, Project
@@ -62,6 +67,13 @@ __all__ = ["ReproServer", "Job", "ServerHandle", "start_in_thread",
 #: Job lifecycle states.
 QUEUED, RUNNING, DONE, FAILED, CANCELLED = (
     "queued", "running", "done", "failed", "cancelled")
+
+#: States a job never leaves.
+SETTLED = (DONE, FAILED, CANCELLED)
+
+#: How long shutdown waits for open connections to finish the request
+#: they are on before it drops them.
+RELEASE_TIMEOUT = 5.0
 
 #: Where a finished job's report came from.
 SOURCE_COMPUTED, SOURCE_STORE, SOURCE_MEMORY = (
@@ -108,16 +120,48 @@ class Job:
     future: Any = field(default=None, repr=False)
     _lock: threading.Lock = field(default_factory=threading.Lock,
                                   repr=False)
+    #: Futures of the held ``status`` requests, resolved by the next
+    #: event.
+    _waiters: List[asyncio.Future] = field(default_factory=list,
+                                           repr=False)
 
     def add_event(self, event: Dict[str, Any]) -> None:
-        """Append a progress event (called from server loop *and* the
-        sharded-merge thread; the lock keeps seq numbers dense)."""
+        """Append a progress event and wake the held statuses (called
+        from server loop *and* the sharded-merge thread; the lock keeps
+        seq numbers dense, and a status that checks for new events
+        under it either sees this one or is parked before the wake)."""
         with self._lock:
             event = dict(event)
             event["seq"] = len(self.events)
             self.events.append(event)
             if "cumulative_violations" in event:
                 self.violations_so_far = event["cumulative_violations"]
+        self.wake()
+
+    def wake(self) -> None:
+        """Answer every held status now (safe from any thread)."""
+        with self._lock:
+            waiters, self._waiters = self._waiters, []
+        for waiter in waiters:
+            try:
+                waiter.get_loop().call_soon_threadsafe(_resolve, waiter)
+            except RuntimeError:  # pragma: no cover - loop already closed
+                pass
+
+    async def changed(self, since: int, hold: float) -> None:
+        """Return once the job has events past ``since`` or has settled,
+        or after ``hold`` seconds."""
+        waiter = asyncio.get_running_loop().create_future()
+        with self._lock:
+            if len(self.events) > since or self.state in SETTLED:
+                return
+            self._waiters.append(waiter)
+        try:
+            await asyncio.wait((waiter,), timeout=hold)
+        finally:
+            with self._lock:
+                if waiter in self._waiters:
+                    self._waiters.remove(waiter)
 
     def public_state(self) -> Dict[str, Any]:
         wall = None
@@ -131,6 +175,11 @@ class Job:
                 "error_traceback": self.error_traceback,
                 "violations_so_far": self.violations_so_far,
                 "events_available": len(self.events)}
+
+
+def _resolve(waiter: asyncio.Future) -> None:
+    if not waiter.done():
+        waiter.set_result(None)
 
 
 class ReproServer:
@@ -172,6 +221,11 @@ class ReproServer:
         self._done: Optional[asyncio.Event] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._draining = False
+        #: Open connections: handler task -> its stream pair.
+        self._connections: Dict[asyncio.Task, Tuple[
+            asyncio.StreamReader, asyncio.StreamWriter]] = {}
+        #: Set once shutdown closes the connections: no more holding.
+        self._releasing = False
         self._shutdown_task: Optional[asyncio.Task] = None
         self._started_at = time.time()
         self.memory_hits = 0
@@ -227,6 +281,7 @@ class ReproServer:
             self._server.close()
         if drain and self._tasks:
             await asyncio.wait(set(self._tasks), timeout=timeout)
+        await self._release_connections()
         # The pool's futures are settled once the job tasks are done;
         # shutdown in a thread so a wedged worker can't hang the loop
         # forever when drain=False.
@@ -243,10 +298,32 @@ class ReproServer:
         self._threads.shutdown(wait=False)
         self._done.set()
 
+    async def _release_connections(self) -> None:
+        """Close every open connection after the request it is on.
+
+        Held statuses are answered at once; each connection stops
+        reading and gets an end of stream, so its handler replies to
+        what it already received and then ends.  A connection still
+        busy after :data:`RELEASE_TIMEOUT` is dropped.
+        """
+        self._releasing = True
+        for job in self._jobs.values():
+            job.wake()
+        for reader, writer in self._connections.values():
+            writer.transport.pause_reading()
+            reader.feed_eof()
+        if self._connections:
+            await asyncio.wait(set(self._connections),
+                               timeout=RELEASE_TIMEOUT)
+        for _, writer in self._connections.values():
+            writer.transport.abort()
+
     # -- connection handling -------------------------------------------------
 
     async def _handle_client(self, reader: asyncio.StreamReader,
                              writer: asyncio.StreamWriter) -> None:
+        task = asyncio.current_task()
+        self._connections[task] = (reader, writer)
         try:
             while True:
                 try:
@@ -262,7 +339,12 @@ class ReproServer:
                         await writer.drain()
                     except ConnectionResetError:
                         break
+        except asyncio.CancelledError:
+            # The loop is closing under an open connection: end quietly
+            # (a cancelled connection callback logs a traceback).
+            pass
         finally:
+            self._connections.pop(task, None)
             try:
                 writer.close()
                 await writer.wait_closed()
@@ -373,14 +455,33 @@ class ReproServer:
         task.add_done_callback(self._tasks.discard)
         return {**job.public_state(), "cached": False}
 
-    def rpc_status(self, params: Dict[str, Any]) -> Dict[str, Any]:
+    async def rpc_status(self, params: Dict[str, Any]) -> Dict[str, Any]:
+        """The job's state and its events from ``since`` on.  With
+        ``wait`` > 0 the reply is held until there is something new
+        (see :meth:`Job.changed`), for at most ``MAX_HOLD`` seconds."""
         job = self._job(params)
-        since = int(params.get("since", 0))
+        since = params.get("since", 0)
+        if isinstance(since, bool) or not isinstance(since, int) \
+                or since < 0:
+            raise protocol.ServeError(
+                protocol.INVALID_PARAMS,
+                f"status 'since' must be a non-negative event index, "
+                f"not {since!r}")
+        wait = params.get("wait", 0)
+        if isinstance(wait, bool) or not isinstance(wait, (int, float)) \
+                or not wait >= 0:
+            raise protocol.ServeError(
+                protocol.INVALID_PARAMS,
+                f"status 'wait' must be a non-negative number of "
+                f"seconds, not {wait!r}")
+        if wait > 0 and not self._releasing:
+            await job.changed(since, min(wait, protocol.MAX_HOLD))
         with job._lock:
             events = list(job.events[since:])
             cursor = len(job.events)
         return {**job.public_state(), "events": events,
-                "next_cursor": cursor}
+                "next_cursor": cursor,
+                "protocol": protocol.PROTOCOL_VERSION}
 
     def rpc_result(self, params: Dict[str, Any]) -> Dict[str, Any]:
         job = self._job(params)
